@@ -1,4 +1,4 @@
-//===- obs/Sched.cpp - Scheduler telemetry and critical-path report -------===//
+//===- obs/Sched.cpp - Level executor and scheduler telemetry -------------===//
 //
 // Part of the depflow project: a reproduction of "Dependence-Based Program
 // Analysis" (Johnson & Pingali, PLDI 1993).
@@ -7,19 +7,21 @@
 
 #include "obs/Sched.h"
 
+#include "obs/EventLog.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <thread>
 
 using namespace depflow;
 using namespace depflow::obs;
 
-// The deterministic scheduler counters: inputs are schedule structure only
-// (counts, widths, level indices), never clocks or worker attribution, so
-// every one is byte-identical for any -j N.
+// The deterministic scheduler counters: the executor bumps them from
+// schedule structure only (counts, widths, level indices), never clocks or
+// worker attribution, so every one is byte-identical for any -j N.
 DEPFLOW_STATISTIC(NumSchedRuns, "sched",
                   "Parallel runs observed by the scheduler telemetry");
 DEPFLOW_STATISTIC(NumSchedTasks, "sched",
@@ -34,19 +36,104 @@ DEPFLOW_MAX_STATISTIC(MaxSchedReadyWidth, "sched",
 DEPFLOW_HIST_STATISTIC(HistSchedTaskDepth, "sched",
                        "Per-task dependency depth (its level index)");
 
-void depflow::obs::noteSchedRun() { ++NumSchedRuns; }
+//===----------------------------------------------------------------------===//
+// LevelExecutor
+//===----------------------------------------------------------------------===//
 
-void depflow::obs::noteSchedLevel(unsigned Width) {
+unsigned depflow::obs::resolveJobs(unsigned Jobs, unsigned MaxWidth) {
+  if (!Jobs)
+    Jobs = std::thread::hardware_concurrency();
+  return std::max(1u, std::min(Jobs, MaxWidth));
+}
+
+LevelExecutor::LevelExecutor(const char *Name, unsigned Jobs, unsigned Tasks,
+                             unsigned MaxWidth)
+    : Name(Name), Jobs(resolveJobs(Jobs, MaxWidth)), Tasks(Tasks),
+      SchedOn(SchedRecorder::global().enabled()),
+      BeginUs(TraceRecorder::global().nowUs()) {
+  ++NumSchedRuns;
+  LogEvent(LogLevel::Info, "sched", "run-start")
+      .field("run", Name)
+      .field("jobs", this->Jobs)
+      .field("tasks", Tasks);
+}
+
+bool LevelExecutor::namesTasks() const {
+  return SchedOn || TraceRecorder::global().enabled() ||
+         EventLogger::global().enabled();
+}
+
+double LevelExecutor::beginLevel(unsigned Width) {
+  // Every task of a level is ready when it opens.
+  Run.MaxReady = std::max(Run.MaxReady, Width);
   ++NumSchedLevels;
   MaxSchedReadyWidth.update(Width);
+  for (unsigned I = 0; I != Width; ++I) {
+    ++NumSchedTasks;
+    HistSchedTaskDepth.sample(NumLevels);
+  }
+  ++NumLevels;
+  if (SchedOn)
+    Run.Tasks.resize(Run.Tasks.size() + Width);
+  return TraceRecorder::global().nowUs();
 }
 
-void depflow::obs::noteSchedTask(unsigned Level) {
-  ++NumSchedTasks;
-  HistSchedTaskDepth.sample(Level);
+void LevelExecutor::taskStarted(TraceSpan &Span, const std::string &Task,
+                                unsigned Level, const TaskStamp &S) const {
+  LogEvent(LogLevel::Info, "sched", "task-start")
+      .field("run", Name)
+      .field("task", Task)
+      .field("worker", S.Worker)
+      .field("task_level", Level)
+      .field("enqueue_us", S.EnqueueUs);
+  // The span-args contract tools/trace_analyze.py rebuilds the schedule
+  // from.
+  if (!Span.armed())
+    return;
+  Span.arg("level", std::to_string(Level));
+  Span.arg("worker", std::to_string(S.Worker));
+  Span.arg("enqueue_us", std::to_string(S.EnqueueUs));
 }
 
-void depflow::obs::noteSchedTaskFailed() { ++NumSchedTasksFailed; }
+void LevelExecutor::taskEnded(std::string Task, unsigned Level,
+                              std::size_t Slot, const TaskStamp &S, bool Ok) {
+  if (Ok) {
+    LogEvent(LogLevel::Debug, "sched", "task-commit")
+        .field("run", Name)
+        .field("task", Task)
+        .field("worker", S.Worker)
+        .field("task_level", Level)
+        .field("enqueue_us", S.EnqueueUs)
+        .field("seconds", (S.EndUs - S.StartUs) / 1e6);
+  } else {
+    // The failed task's body has logged its own task-failed line.
+    NumFailed.fetch_add(1, std::memory_order_relaxed);
+    ++NumSchedTasksFailed;
+  }
+  // Each task owns its slot, so concurrent writes never race.
+  if (SchedOn)
+    Run.Tasks[Slot] = {std::move(Task), Level,   S.Worker, S.EnqueueUs,
+                       S.StartUs,       S.EndUs, !Ok};
+}
+
+void LevelExecutor::finish() {
+  const double EndUs = TraceRecorder::global().nowUs();
+  LogEvent(LogLevel::Info, "sched", "run-end")
+      .field("run", Name)
+      .field("jobs", Jobs)
+      .field("tasks", Tasks)
+      .field("levels", NumLevels)
+      .field("failed", NumFailed.load(std::memory_order_relaxed))
+      .field("wall_us", EndUs - BeginUs);
+  if (!SchedOn)
+    return;
+  Run.Name = Name;
+  Run.Jobs = Jobs;
+  Run.NumLevels = NumLevels;
+  Run.BeginUs = BeginUs;
+  Run.EndUs = EndUs;
+  SchedRecorder::global().record(std::move(Run));
+}
 
 //===----------------------------------------------------------------------===//
 // SchedRecorder

@@ -1,4 +1,4 @@
-//===- obs/Sched.h - Scheduler telemetry and critical-path report -*- C++ -*-=//
+//===- obs/Sched.h - Level executor and scheduler telemetry -----*- C++ -*-===//
 //
 // Part of the depflow project: a reproduction of "Dependence-Based Program
 // Analysis" (Johnson & Pingali, PLDI 1993).
@@ -6,12 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scheduler observability for the repo's two parallel engines: the
-/// ModulePipeline function-task pool and the SDG level-parallel build.
-/// Both schedules are *level-structured* — tasks within a level are
+/// The task executor behind the repo's two parallel drivers, and its
+/// scheduler observability. Both drivers run a *level-structured*
+/// schedule: the ModulePipeline runs one level of function tasks; the SDG
+/// build runs one level of per-function PDG tasks, then one level per
+/// call-graph condensation level of SCC tasks. Tasks within a level are
 /// mutually independent (function tasks trivially; SDG SCC tasks by the
-/// condensation order) and a barrier separates consecutive levels. That
-/// structure is what makes the analysis here exact rather than heuristic:
+/// condensation order) and a barrier separates consecutive levels.
+/// `LevelExecutor` runs such a schedule and owns every scheduling concern
+/// the drivers share: the worker count, the atomic-claim thread pool, the
+/// `task` trace spans, the `sched` journal events, the per-task stamps,
+/// the recorded `SchedRun`, and the `sched` counter group.
+///
+/// The level structure is what makes the analysis here exact rather than
+/// heuristic:
 ///
 ///   * **Critical path** = Σ over levels of the most expensive task in the
 ///     level. Because every level ends with a barrier, the wall-clock of a
@@ -30,7 +38,7 @@
 ///   * `SchedRecorder` (+`analyzeSchedRun`/`renderSchedReport`): wall-time
 ///     records behind `--sched-report` and the depflow-stats `sched`
 ///     section. Timestamps share the trace recorder's epoch.
-///   * The **deterministic `sched` counter group** (`noteSched*`): derived
+///   * The **deterministic `sched` counter group**: derived
 ///     from schedule *structure* only (task counts, level widths, level
 ///     depths — never clocks or worker ids), so the counters are
 ///     byte-identical at any `-j N` and safe for the perf gate and the
@@ -41,8 +49,14 @@
 #ifndef DEPFLOW_OBS_SCHED_H
 #define DEPFLOW_OBS_SCHED_H
 
+#include "obs/Trace.h"
+
+#include <atomic>
+#include <climits>
 #include <cstdint>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 namespace depflow {
@@ -94,8 +108,7 @@ struct SchedRunReport {
 SchedRunReport analyzeSchedRun(const SchedRun &R);
 
 /// Wall-time run records behind `--sched-report`. Disabled by default;
-/// drivers opt in, the instrumented engines record one `SchedRun` per
-/// parallel execution.
+/// tools opt in, and every `LevelExecutor` run then records one `SchedRun`.
 class SchedRecorder {
 public:
   SchedRecorder(const SchedRecorder &) = delete;
@@ -106,8 +119,8 @@ public:
   void setEnabled(bool On);
   bool enabled() const;
 
-  /// Appends one completed run (thread-safe; engines call it after their
-  /// workers join).
+  /// Appends one completed run (thread-safe; the executor calls it after
+  /// its workers join).
   void record(SchedRun R);
 
   std::vector<SchedRun> snapshot() const;
@@ -124,13 +137,119 @@ private:
 /// Renders the human-readable `--sched-report` text for \p Runs.
 std::string renderSchedReport(const std::vector<SchedRun> &Runs);
 
-/// Deterministic "sched" counter group (see the file comment). Engines
-/// call these unconditionally — structure-only inputs keep the counters
-/// byte-identical for any `-j`.
-void noteSchedRun();
-void noteSchedLevel(unsigned Width);
-void noteSchedTask(unsigned Level);
-void noteSchedTaskFailed();
+/// The worker count a run asking for \p Jobs uses: 0 means
+/// hardware_concurrency; the result is at least 1 and at most
+/// \p MaxWidth, the widest level of the run.
+unsigned resolveJobs(unsigned Jobs, unsigned MaxWidth = UINT_MAX);
+
+/// Where and when one task ran, on the trace recorder's clock.
+struct TaskStamp {
+  unsigned Worker = 0;  // Pool slot that ran the task (0 for inline runs).
+  double EnqueueUs = 0; // When the task became ready (its level opened).
+  double StartUs = 0;   // When a worker began executing it.
+  double EndUs = 0;     // When its results were committed.
+};
+
+/// Runs one level-structured schedule: a sequence of `runLevel` calls,
+/// each a barrier level of mutually independent tasks, between
+/// construction (the `run-start` event) and `finish()` (`run-end`, the
+/// recorded `SchedRun`). Serial work between levels counts toward the
+/// run's wall time.
+class LevelExecutor {
+public:
+  /// Opens run \p Name of \p Tasks tasks whose widest level has
+  /// \p MaxWidth tasks, on `resolveJobs(Jobs, MaxWidth)` workers.
+  LevelExecutor(const char *Name, unsigned Jobs, unsigned Tasks,
+                unsigned MaxWidth);
+  LevelExecutor(const LevelExecutor &) = delete;
+  LevelExecutor &operator=(const LevelExecutor &) = delete;
+
+  /// Runs tasks 0..Width-1 as the next level and returns once all have
+  /// finished. `Body(I, Worker)` runs task I on pool slot Worker and
+  /// returns whether it succeeded; a failed task logs its own cause.
+  /// `TaskName(I)` names task I for the trace span, the journal and the
+  /// `SchedRun`, and is called only while one of them is recording.
+  /// With one worker the tasks run inline on the calling thread;
+  /// otherwise `min(workers, Width)` threads claim them through one
+  /// atomic counter. When \p Stamps is non-null, task I's stamps land in
+  /// `Stamps[I]`.
+  template <typename NameT, typename BodyT>
+  void runLevel(unsigned Width, const NameT &TaskName, const BodyT &Body,
+                TaskStamp *Stamps = nullptr);
+
+  /// Closes the run.
+  void finish();
+
+private:
+  const char *Name;
+  unsigned Jobs;
+  unsigned Tasks;
+  bool SchedOn;
+  unsigned NumLevels = 0;
+  std::atomic<unsigned> NumFailed{0};
+  double BeginUs;
+  SchedRun Run; // Filled only while the SchedRecorder is enabled.
+
+  // The non-template halves of runLevel.
+  bool namesTasks() const;
+  double beginLevel(unsigned Width);
+  void taskStarted(TraceSpan &Span, const std::string &Task, unsigned Level,
+                   const TaskStamp &S) const;
+  void taskEnded(std::string Task, unsigned Level, std::size_t Slot,
+                 const TaskStamp &S, bool Ok);
+};
+
+template <typename NameT, typename BodyT>
+void LevelExecutor::runLevel(unsigned Width, const NameT &TaskName,
+                             const BodyT &Body, TaskStamp *Stamps) {
+  const unsigned Level = NumLevels;
+  const std::size_t Base = Run.Tasks.size();
+  const double EnqueueUs = beginLevel(Width);
+  auto RunTask = [&](unsigned I, unsigned Worker) {
+    TaskStamp S{Worker, EnqueueUs, TraceRecorder::global().nowUs()};
+    std::string Task = namesTasks() ? TaskName(I) : std::string();
+    bool Ok;
+    {
+      // The spans a body opens nest inside this one.
+      TraceSpan Span("task", Task);
+      taskStarted(Span, Task, Level, S);
+      Ok = Body(I, Worker);
+    }
+    S.EndUs = TraceRecorder::global().nowUs();
+    if (Stamps)
+      Stamps[I] = S;
+    taskEnded(std::move(Task), Level, Base + I, S, Ok);
+  };
+
+  const unsigned Threads = Jobs < Width ? Jobs : Width;
+  if (Threads <= 1) {
+    for (unsigned I = 0; I != Width; ++I)
+      RunTask(I, 0);
+    return;
+  }
+  std::atomic<unsigned> Next{0};
+  auto Work = [&](unsigned Worker) {
+    // One named trace track per worker.
+    if (TraceRecorder::global().enabled())
+      TraceRecorder::global().setCurrentThreadName("worker-" +
+                                                   std::to_string(Worker));
+    for (unsigned I;
+         (I = Next.fetch_add(1, std::memory_order_relaxed)) < Width;)
+      RunTask(I, Worker);
+  };
+  std::vector<std::thread> Pool;
+  Pool.reserve(Threads);
+  try {
+    for (unsigned T = 0; T != Threads; ++T)
+      Pool.emplace_back(Work, T);
+  } catch (const std::system_error &) {
+    // Out of threads: the workers already running claim every task.
+    if (Pool.empty())
+      throw;
+  }
+  for (std::thread &T : Pool)
+    T.join();
+}
 
 } // namespace obs
 } // namespace depflow

@@ -103,8 +103,8 @@ public:
         .count();
   }
 
-  /// Names the calling thread's track in the serialized trace. The module
-  /// driver names its workers "worker-<k>".
+  /// Names the calling thread's track in the serialized trace. The level
+  /// executor (obs/Sched.h) names its workers "worker-<k>".
   void setCurrentThreadName(std::string Name);
 
   /// Commits one event to the calling thread's buffer.
@@ -154,6 +154,9 @@ public:
 
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
+
+  /// Whether this span will be recorded.
+  bool armed() const { return Armed; }
 
   /// Attaches a key/value annotation (no-op when inert).
   void arg(std::string Key, std::string Value) {

@@ -12,8 +12,9 @@
 /// which makes module throughput embarrassingly parallel; this driver is
 /// the deterministic harness for that shape:
 ///
-///   * **Static, work-stealing-free scheduling.** Workers claim function
-///     indices from a single atomic counter; each function is processed by
+///   * **Static, work-stealing-free scheduling.** The run is one level of
+///     the shared `obs::LevelExecutor`: workers claim function indices
+///     from a single atomic counter; each function is processed by
 ///     exactly one worker, start to finish.
 ///   * **One FunctionAnalysisManager per function task.** Analysis caches
 ///     are created inside the task and die with it — no cached structure
@@ -170,9 +171,6 @@ public:
   /// the merged analysis hit/miss table.
   void printReport(std::FILE *Out) const;
 };
-
-/// The pool size `Jobs = 0` resolves to: hardware_concurrency, min 1.
-unsigned defaultModulePipelineJobs();
 
 /// Runs \p Pipe over every function of \p M as described above. Functions
 /// are mutated in place; the returned results are in module order.

@@ -10,8 +10,8 @@
 using namespace depflow;
 
 const std::vector<PassId> &depflow::allPasses() {
-  // The analysis-only passes sit before SSA so the canonical legacy-flag
-  // ordering runs them on phi-free IR (their DFG precondition).
+  // The analysis-only passes sit before SSA so a pipeline in this order
+  // runs them on phi-free IR (their DFG precondition).
   static const std::vector<PassId> Passes = {
       PassId::Separate, PassId::ConstProp, PassId::ConstPropCFG,
       PassId::PRE,      PassId::PREBusy,   PassId::Range,

@@ -9,7 +9,7 @@
 /// The registry of the transformation passes depflow exposes: stable ids,
 /// command-line names, and the per-pass options block. Lives in the pass
 /// library so the pipeline, the analysis manager, the verification shims,
-/// and the tools all agree on what "--pre" means.
+/// and the tools all agree on what "pre" means.
 ///
 //===----------------------------------------------------------------------===//
 

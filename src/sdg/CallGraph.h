@@ -11,10 +11,10 @@
 /// schedule over. The condensation is emitted bottom-up (callees before
 /// callers) and partitioned into *levels*: SCC level 0 calls nothing
 /// outside itself, level k only calls levels < k. All SCCs of one level
-/// are independent, so the SDG builder processes a level's SCCs
-/// concurrently with the same fixed-pool/atomic-claim discipline as the
-/// module pass pipeline — and, because every per-SCC result lands in
-/// function-indexed slots, the output is byte-identical for any -j N.
+/// are independent, so the SDG builder runs a level's SCCs concurrently
+/// on the same level executor (obs/Sched.h) as the module pass pipeline —
+/// and, because every per-SCC result lands in function-indexed slots, the
+/// output is byte-identical for any -j N.
 ///
 //===----------------------------------------------------------------------===//
 

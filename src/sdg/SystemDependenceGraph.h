@@ -30,11 +30,11 @@
 /// transitive formal-in → formal-out dependence projected onto the site,
 /// which lets slicing cross a call without descending).
 ///
-/// The build is scheduled over the call graph's SCC condensation:
-/// per-function PDGs are embarrassingly parallel (one task per function,
-/// atomic-index claiming — the module pipeline's fixed-pool discipline);
-/// summary computation walks condensation levels bottom-up, the SCCs
-/// inside one level claimed concurrently by the same pool. Every result
+/// The build is scheduled over the call graph's SCC condensation on the
+/// level executor the module pipeline also runs on (obs/Sched.h):
+/// per-function PDGs are one embarrassingly parallel level (one task per
+/// function); summary computation walks condensation levels bottom-up,
+/// one executor level per condensation level. Every result
 /// lands in function- or SCC-indexed slots and every counter mutation
 /// commutes, so stats and counters are byte-identical for any `Jobs` value.
 ///

@@ -38,6 +38,48 @@ Expression exprPlusImm(const Function &F, const char *A, std::int64_t K) {
                     Operand::imm(K)};
 }
 
+// The entry points below report failure through a Status; every fixture
+// here is expected to succeed.
+CFGAntResult cfgAnt(Function &F, const CFGEdges &E, const Expression &Expr) {
+  CFGAntResult R;
+  Status S = runCFGAnticipatability(F, E, Expr, R);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return R;
+}
+
+CFGAntResult cfgRelAnt(Function &F, const CFGEdges &E, const Expression &Expr,
+                       VarId X) {
+  CFGAntResult R;
+  Status S = runCFGRelativeAnticipatability(F, E, Expr, X, R);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return R;
+}
+
+DFGAntResult dfgRelAnt(Function &F, const DepFlowGraph &G,
+                       const Expression &Expr, VarId X) {
+  DFGAntResult R;
+  Status S = runRelativeAnticipatability(F, G, Expr, X, R);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return R;
+}
+
+std::vector<bool> exprAnt(Function &F, const CFGEdges &E,
+                          const DepFlowGraph *G, const Expression &Expr,
+                          EvalMode Mode) {
+  std::vector<bool> Ant;
+  Status S = runExpressionAnticipatability(F, E, G, Expr, Mode, Ant);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return Ant;
+}
+
+PREDecisions planPRE(Function &F, const CFGEdges &E, const Expression &Expr,
+                     const std::vector<bool> &Ant, PREStrategy Strategy) {
+  PREDecisions D;
+  Status S = runPRE(F, E, Expr, Ant, Strategy, D);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return D;
+}
+
 // Figure 6: two computations of x+1 on alternative paths — anticipatable
 // everywhere below the definition of x, but with no redundancy.
 const char *Fig6Src = R"(
@@ -63,7 +105,7 @@ TEST(Anticipatability, Figure6SingleVariable) {
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
   VarId X = unsigned(F->lookupVar("x"));
 
-  CFGAntResult CFG = cfgAnticipatability(*F, E, XPlus1);
+  CFGAntResult CFG = cfgAnt(*F, E, XPlus1);
   // Anticipatable on the two branch edges (each path ahead computes x+1
   // before any assignment to x); not on the join edges — the computations
   // are behind by then.
@@ -73,7 +115,7 @@ TEST(Anticipatability, Figure6SingleVariable) {
   EXPECT_FALSE(CFG.ANT[3]);
 
   DepFlowGraph G = DepFlowGraph::build(*F);
-  DFGAntResult R = dfgRelativeAnticipatability(*F, G, XPlus1, X);
+  DFGAntResult R = dfgRelAnt(*F, G, XPlus1, X);
   std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
   for (unsigned C = 0; C != E.size(); ++C)
     EXPECT_EQ(Proj[C], CFG.ANT[C]) << "projected edge " << C;
@@ -121,11 +163,9 @@ use:
 )");
   CFGEdges E(*F2);
   Expression XPlusY = exprPlus(*F2, "x", "y");
-  CFGAntResult Full = cfgAnticipatability(*F2, E, XPlusY);
-  CFGAntResult RelX = cfgRelativeAnticipatability(
-      *F2, E, XPlusY, unsigned(F2->lookupVar("x")));
-  CFGAntResult RelY = cfgRelativeAnticipatability(
-      *F2, E, XPlusY, unsigned(F2->lookupVar("y")));
+  CFGAntResult Full = cfgAnt(*F2, E, XPlusY);
+  CFGAntResult RelX = cfgRelAnt(*F2, E, XPlusY, unsigned(F2->lookupVar("x")));
+  CFGAntResult RelY = cfgRelAnt(*F2, E, XPlusY, unsigned(F2->lookupVar("y")));
   // Edge 0 (entry->mid): y is reassigned in mid, so rel-to-y is false but
   // rel-to-x is true. Edge 1 (mid->use): both true.
   EXPECT_TRUE(RelX.ANT[0]);
@@ -136,51 +176,28 @@ use:
   EXPECT_TRUE(Full.ANT[1]);
 
   DepFlowGraph G = DepFlowGraph::build(*F2);
-  std::vector<bool> ViaDFG = dfgExpressionAnt(*F2, E, G, XPlusY);
+  std::vector<bool> ViaDFG =
+      exprAnt(*F2, E, &G, XPlusY, EvalMode::SparseDFG);
   for (unsigned C = 0; C != E.size(); ++C)
     EXPECT_EQ(ViaDFG[C], Full.ANT[C]) << "edge " << C;
   (void)F;
 }
 
-TEST(AntPre, EngineAndShimPathsAgreeOnFigure6) {
-  // The deprecated shims and the Status-returning entry points must agree
-  // exactly — both paths stay covered until the shims are removed.
+TEST(AntPre, ExpressionAntModesAgreeOnFigure6) {
+  // Whole-expression ANT is the same in both evaluation modes, and the
+  // dense mode is exactly the Figure 5a equations.
   auto F = parseFunctionOrDie(Fig6Src);
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
   DepFlowGraph G = DepFlowGraph::build(*F);
 
-  CFGAntResult Shim = cfgAnticipatability(*F, E, XPlus1);
-  CFGAntResult Eng;
-  ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlus1, Eng).ok());
-  EXPECT_EQ(Shim.ANT, Eng.ANT);
-
-  std::vector<bool> ShimDfg = dfgExpressionAnt(*F, E, G, XPlus1);
-  std::vector<bool> EngSparse;
-  ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, XPlus1,
-                                            EvalMode::SparseDFG, EngSparse)
-                  .ok());
-  EXPECT_EQ(ShimDfg, EngSparse);
-  std::vector<bool> EngDense;
-  ASSERT_TRUE(runExpressionAnticipatability(*F, E, nullptr, XPlus1,
-                                            EvalMode::DenseCFG, EngDense)
-                  .ok());
-  EXPECT_EQ(EngSparse, EngDense);
-
-  for (PREStrategy S : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
-    PREDecisions ShimD = S == PREStrategy::Busy
-                             ? busyCodeMotion(*F, E, XPlus1, Eng.ANT)
-                             : morelRenvoise(*F, E, XPlus1, Eng.ANT);
-    PREDecisions EngD;
-    ASSERT_TRUE(runPRE(*F, E, XPlus1, Eng.ANT, S, EngD).ok());
-    EXPECT_EQ(ShimD.Deletes, EngD.Deletes);
-    ASSERT_EQ(ShimD.Inserts.size(), EngD.Inserts.size());
-    for (unsigned K = 0; K != ShimD.Inserts.size(); ++K) {
-      EXPECT_EQ(ShimD.Inserts[K].Block, EngD.Inserts[K].Block);
-      EXPECT_EQ(ShimD.Inserts[K].AtEnd, EngD.Inserts[K].AtEnd);
-    }
-  }
+  std::vector<bool> Sparse =
+      exprAnt(*F, E, &G, XPlus1, EvalMode::SparseDFG);
+  std::vector<bool> Dense =
+      exprAnt(*F, E, nullptr, XPlus1, EvalMode::DenseCFG);
+  EXPECT_EQ(Sparse, Dense);
+  EXPECT_EQ(Dense, cfgAnt(*F, E, XPlus1).ANT);
 }
 
 TEST(PRE, Figure6BusyCodeMotionIsSuperfluous) {
@@ -191,13 +208,14 @@ TEST(PRE, Figure6BusyCodeMotionIsSuperfluous) {
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlus1);
+  CFGAntResult Ant = cfgAnt(*F, E, XPlus1);
 
-  PREDecisions BCM = busyCodeMotion(*F, E, XPlus1, Ant.ANT);
+  PREDecisions BCM = planPRE(*F, E, XPlus1, Ant.ANT, PREStrategy::Busy);
   EXPECT_FALSE(BCM.Inserts.empty()) << "busy code motion hoists";
   EXPECT_EQ(BCM.Deletes.size(), 2u) << "both computations get replaced";
 
-  PREDecisions MR = morelRenvoise(*F, E, XPlus1, Ant.ANT);
+  PREDecisions MR =
+      planPRE(*F, E, XPlus1, Ant.ANT, PREStrategy::MorelRenvoise);
   EXPECT_TRUE(MR.Inserts.empty()) << "no partial redundancy, no motion";
   EXPECT_TRUE(MR.Deletes.empty());
 }
@@ -223,8 +241,9 @@ join:
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlusY = exprPlus(*F, "x", "y");
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlusY);
-  PREDecisions MR = morelRenvoise(*F, E, XPlusY, Ant.ANT);
+  CFGAntResult Ant = cfgAnt(*F, E, XPlusY);
+  PREDecisions MR =
+      planPRE(*F, E, XPlusY, Ant.ANT, PREStrategy::MorelRenvoise);
   ASSERT_EQ(MR.Inserts.size(), 1u);
   EXPECT_EQ(MR.Inserts[0].Block->label(), "b");
   ASSERT_EQ(MR.Deletes.size(), 1u);
@@ -269,8 +288,9 @@ out:
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlusY = exprPlus(*F, "x", "y");
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlusY);
-  PREDecisions MR = morelRenvoise(*F, E, XPlusY, Ant.ANT);
+  CFGAntResult Ant = cfgAnt(*F, E, XPlusY);
+  PREDecisions MR =
+      planPRE(*F, E, XPlusY, Ant.ANT, PREStrategy::MorelRenvoise);
   auto Before = runFunction(*F, {5, 3, 4});
   applyPRE(*F, XPlusY, MR);
   ASSERT_TRUE(isWellFormed(*F));
@@ -306,8 +326,8 @@ TEST_P(AntPropertyTest, ProjectionMatchesCFGRelativeANT) {
     if (++Tested > 4)
       break;
     for (VarId X : Expr.variables()) {
-      CFGAntResult CFG = cfgRelativeAnticipatability(*F, E, Expr, X);
-      DFGAntResult R = dfgRelativeAnticipatability(*F, G, Expr, X);
+      CFGAntResult CFG = cfgRelAnt(*F, E, Expr, X);
+      DFGAntResult R = dfgRelAnt(*F, G, Expr, X);
       std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.ANT[C])
@@ -330,8 +350,8 @@ TEST_P(AntPropertyTest, PanProjectionMatchesCFGRelativePAN) {
     if (++Tested > 3)
       break;
     for (VarId X : Expr.variables()) {
-      CFGAntResult CFG = cfgRelativeAnticipatability(*F, E, Expr, X);
-      DFGAntResult R = dfgRelativeAnticipatability(*F, G, Expr, X);
+      CFGAntResult CFG = cfgRelAnt(*F, E, Expr, X);
+      DFGAntResult R = dfgRelAnt(*F, G, Expr, X);
       std::vector<bool> Proj = projectRelativePan(*F, E, G, R, X, Ctx);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.PAN[C])
@@ -346,10 +366,10 @@ TEST_P(AntPropertyTest, Definition9Decomposition) {
   auto F = antProgram(GetParam() + 1000);
   CFGEdges E(*F);
   for (const Expression &Expr : collectExpressions(*F)) {
-    CFGAntResult Full = cfgAnticipatability(*F, E, Expr);
+    CFGAntResult Full = cfgAnt(*F, E, Expr);
     std::vector<bool> Conj(E.size(), true);
     for (VarId X : Expr.variables()) {
-      CFGAntResult Rel = cfgRelativeAnticipatability(*F, E, Expr, X);
+      CFGAntResult Rel = cfgRelAnt(*F, E, Expr, X);
       for (unsigned C = 0; C != E.size(); ++C)
         Conj[C] = Conj[C] && Rel.ANT[C];
     }
@@ -368,8 +388,8 @@ TEST_P(AntPropertyTest, DFGExpressionAntMatchesCFG) {
   for (const Expression &Expr : collectExpressions(*F)) {
     if (++Tested > 4)
       break;
-    CFGAntResult Full = cfgAnticipatability(*F, E, Expr);
-    std::vector<bool> ViaDFG = dfgExpressionAnt(*F, E, G, Expr);
+    CFGAntResult Full = cfgAnt(*F, E, Expr);
+    std::vector<bool> ViaDFG = exprAnt(*F, E, &G, Expr, EvalMode::SparseDFG);
     for (unsigned C = 0; C != E.size(); ++C)
       EXPECT_EQ(ViaDFG[C], Full.ANT[C])
           << "edge " << C << " expr " << printExpression(*F, Expr) << "\n"
@@ -392,12 +412,13 @@ void checkPRESafety(int Param, bool UseMR, bool UseDFGAnt) {
   std::vector<bool> Ant;
   if (UseDFGAnt) {
     DepFlowGraph G = DepFlowGraph::build(*Clone, E);
-    Ant = dfgExpressionAnt(*Clone, E, G, Expr);
+    Ant = exprAnt(*Clone, E, &G, Expr, EvalMode::SparseDFG);
   } else {
-    Ant = cfgAnticipatability(*Clone, E, Expr).ANT;
+    Ant = cfgAnt(*Clone, E, Expr).ANT;
   }
-  PREDecisions D = UseMR ? morelRenvoise(*Clone, E, Expr, Ant)
-                         : busyCodeMotion(*Clone, E, Expr, Ant);
+  PREDecisions D = planPRE(*Clone, E, Expr, Ant,
+                           UseMR ? PREStrategy::MorelRenvoise
+                                 : PREStrategy::Busy);
   applyPRE(*Clone, Expr, D);
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 

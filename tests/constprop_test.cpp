@@ -36,6 +36,18 @@ const Instruction *instrAt(const Function &F, const std::string &Label,
   return nullptr;
 }
 
+/// Runs constant propagation in the dense CFG mode (\p G null) or the
+/// sparse DFG mode, expecting success.
+ConstPropResult constProp(Function &F, const DepFlowGraph *G,
+                          bool PredicateRefinement = false) {
+  ConstPropResult R;
+  Status S = runConstantPropagation(
+      F, G, G ? EvalMode::SparseDFG : EvalMode::DenseCFG, R,
+      PredicateRefinement);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return R;
+}
+
 void expectSameUseValues(Function &F, const ConstPropResult &A,
                          const ConstPropResult &B, const std::string &CtxA,
                          const std::string &CtxB) {
@@ -75,9 +87,9 @@ join:
   const Instruction *YDef = instrAt(*F, "join", 0);
   ReachingDefs RD(*F);
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   for (const ConstPropResult *R : {&DU, &CFG, &DFG}) {
     ASSERT_TRUE(R->useValue(YDef, 0).isConst());
     EXPECT_EQ(R->useValue(YDef, 0).value(), 3);
@@ -108,13 +120,13 @@ join:
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
   EXPECT_TRUE(DU.useValue(YDef, 0).isTop()) << "def-use cannot see deadness";
 
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   ASSERT_TRUE(CFG.useValue(YDef, 0).isConst());
   EXPECT_EQ(CFG.useValue(YDef, 0).value(), 1);
   EXPECT_FALSE(CFG.ExecutableBlock[2]) << "else arm is dead";
 
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   ASSERT_TRUE(DFG.useValue(YDef, 0).isConst());
   EXPECT_EQ(DFG.useValue(YDef, 0).value(), 1);
   EXPECT_EQ(DFG.ExecutableBlock, CFG.ExecutableBlock);
@@ -149,9 +161,9 @@ join:
   EXPECT_EQ(DU.useValue(Branch, 0).value(), 1);
   EXPECT_TRUE(DU.useValue(YInc, 0).isTop());
 
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   for (const ConstPropResult *R : {&CFG, &DFG}) {
     ASSERT_TRUE(R->useValue(YInc, 0).isConst());
     EXPECT_EQ(R->useValue(YInc, 0).value(), 2);
@@ -176,72 +188,13 @@ out:
 }
 )");
   const Instruction *SDef = instrAt(*F, "body", 0);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   for (const ConstPropResult *R : {&CFG, &DFG}) {
     EXPECT_TRUE(R->useValue(SDef, 0).isTop()) << "s varies";
     ASSERT_TRUE(R->useValue(SDef, 1).isConst());
     EXPECT_EQ(R->useValue(SDef, 1).value(), 7);
-  }
-}
-
-TEST(ConstProp, EngineAndShimPathsAgreeOnTheFigures) {
-  // The deprecated shims and the Status-returning engine entry point must
-  // compute identical results — both paths stay covered until the shims
-  // are removed.
-  const char *Fixtures[] = {
-      R"(
-func fig3a(p) {
-entry:
-  if p goto thn else els
-thn:
-  z = 1
-  x = z + 2
-  goto join
-els:
-  z = 2
-  x = z + 1
-  goto join
-join:
-  y = x
-  ret y
-}
-)",
-      R"(
-func fig3b() {
-entry:
-  p = 1
-  if p goto thn else els
-thn:
-  x = 1
-  goto join
-els:
-  x = 2
-  goto join
-join:
-  y = x
-  ret y
-}
-)"};
-  for (const char *Src : Fixtures) {
-    auto F = parseFunctionOrDie(Src);
-    DepFlowGraph G = DepFlowGraph::build(*F);
-
-    ConstPropResult ShimCFG = cfgConstantPropagation(*F);
-    ConstPropResult EngCFG;
-    ASSERT_TRUE(
-        runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, EngCFG).ok());
-    expectSameUseValues(*F, ShimCFG, EngCFG, "shim CFG", "engine CFG");
-
-    ConstPropResult ShimDFG = dfgConstantPropagation(*F, G);
-    ConstPropResult EngDFG;
-    ASSERT_TRUE(
-        runConstantPropagation(*F, &G, EvalMode::SparseDFG, EngDFG).ok());
-    expectSameUseValues(*F, ShimDFG, EngDFG, "shim DFG", "engine DFG");
-    for (unsigned B = 0; B != F->numBlocks(); ++B)
-      EXPECT_EQ(ShimDFG.ExecutableBlock[B], EngDFG.ExecutableBlock[B])
-          << "block " << B;
   }
 }
 
@@ -265,9 +218,9 @@ std::unique_ptr<Function> makeProgram(int Param, bool Separate) {
 
 TEST_P(ConstPropPropertyTest, DFGMatchesCFGExactly) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   expectSameUseValues(*F, CFG, DFG, "cfg", "dfg");
   EXPECT_EQ(CFG.ExecutableBlock, DFG.ExecutableBlock)
       << printFunction(*F);
@@ -275,9 +228,9 @@ TEST_P(ConstPropPropertyTest, DFGMatchesCFGExactly) {
 
 TEST_P(ConstPropPropertyTest, DFGMatchesCFGOnSeparatedPrograms) {
   auto F = makeProgram(GetParam(), /*Separate=*/true);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG = constProp(*F, &G);
   expectSameUseValues(*F, CFG, DFG, "cfg", "dfg/sep");
 }
 
@@ -285,8 +238,8 @@ TEST_P(ConstPropPropertyTest, BypassModeDoesNotChangeResults) {
   auto F = makeProgram(GetParam(), /*Separate=*/true);
   DepFlowGraph Full = DepFlowGraph::build(*F, DepFlowGraph::BypassMode::SESE);
   DepFlowGraph Base = DepFlowGraph::build(*F, DepFlowGraph::BypassMode::None);
-  ConstPropResult A = dfgConstantPropagation(*F, Full);
-  ConstPropResult B = dfgConstantPropagation(*F, Base);
+  ConstPropResult A = constProp(*F, &Full);
+  ConstPropResult B = constProp(*F, &Base);
   expectSameUseValues(*F, A, B, "bypass", "nobypass");
 }
 
@@ -294,7 +247,7 @@ TEST_P(ConstPropPropertyTest, DefUseIsNoBetterThanCFG) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
   ReachingDefs RD(*F);
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG = constProp(*F, nullptr);
   for (const auto &BB : F->blocks()) {
     for (const auto &IPtr : BB->instructions()) {
       const Instruction *I = IPtr.get();
@@ -316,7 +269,7 @@ TEST_P(ConstPropPropertyTest, ApplyingConstantsPreservesSemantics) {
   auto Clone = parseFunctionOrDie(printFunction(*F));
 
   DepFlowGraph G = DepFlowGraph::build(*Clone);
-  ConstPropResult CP = dfgConstantPropagation(*Clone, G);
+  ConstPropResult CP = constProp(*Clone, &G);
   applyConstantsAndDCE(*Clone, CP);
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 
@@ -361,17 +314,17 @@ out:
 )");
   const Instruction *YDef = instrAt(*F, "hit", 0);
 
-  ConstPropResult Plain = cfgConstantPropagation(*F);
+  ConstPropResult Plain = constProp(*F, nullptr);
   EXPECT_TRUE(Plain.useValue(YDef, 0).isTop());
 
   ConstPropResult Refined =
-      cfgConstantPropagation(*F, /*PredicateRefinement=*/true);
+      constProp(*F, nullptr, /*PredicateRefinement=*/true);
   ASSERT_TRUE(Refined.useValue(YDef, 0).isConst());
   EXPECT_EQ(Refined.useValue(YDef, 0).value(), 1);
 
   DepFlowGraph G = DepFlowGraph::build(*F);
   ConstPropResult DFGRefined =
-      dfgConstantPropagation(*F, G, /*PredicateRefinement=*/true);
+      constProp(*F, &G, /*PredicateRefinement=*/true);
   ASSERT_TRUE(DFGRefined.useValue(YDef, 0).isConst());
   EXPECT_EQ(DFGRefined.useValue(YDef, 0).value(), 1);
 }
@@ -394,28 +347,28 @@ out:
 )");
   const Instruction *YDef = instrAt(*F, "eq3", 0);
   ConstPropResult Refined =
-      cfgConstantPropagation(*F, /*PredicateRefinement=*/true);
+      constProp(*F, nullptr, /*PredicateRefinement=*/true);
   ASSERT_TRUE(Refined.useValue(YDef, 0).isConst());
   EXPECT_EQ(Refined.useValue(YDef, 0).value(), 3);
   DepFlowGraph G = DepFlowGraph::build(*F);
   ConstPropResult DFGRefined =
-      dfgConstantPropagation(*F, G, /*PredicateRefinement=*/true);
+      constProp(*F, &G, /*PredicateRefinement=*/true);
   EXPECT_EQ(DFGRefined.useValue(YDef, 0).str(),
             Refined.useValue(YDef, 0).str());
 }
 
 TEST_P(ConstPropPropertyTest, RefinementKeepsCFGAndDFGEqual) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
-  ConstPropResult CFG = cfgConstantPropagation(*F, true);
+  ConstPropResult CFG = constProp(*F, nullptr, true);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G, true);
+  ConstPropResult DFG = constProp(*F, &G, true);
   expectSameUseValues(*F, CFG, DFG, "cfg+ref", "dfg+ref");
 }
 
 TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
   auto F = makeProgram(GetParam() + 500, /*Separate=*/false);
-  ConstPropResult Plain = cfgConstantPropagation(*F);
-  ConstPropResult Refined = cfgConstantPropagation(*F, true);
+  ConstPropResult Plain = constProp(*F, nullptr);
+  ConstPropResult Refined = constProp(*F, nullptr, true);
   // Anything constant without refinement stays the same constant with it.
   for (const auto &BB : F->blocks())
     for (const auto &IPtr : BB->instructions())
@@ -428,7 +381,7 @@ TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
   // And applying the refined result preserves semantics.
   auto Clone = parseFunctionOrDie(printFunction(*F));
   DepFlowGraph G = DepFlowGraph::build(*Clone);
-  applyConstantsAndDCE(*Clone, dfgConstantPropagation(*Clone, G, true));
+  applyConstantsAndDCE(*Clone, constProp(*Clone, &G, true));
   ASSERT_TRUE(isWellFormed(*Clone));
   RNG Rand(std::uint64_t(GetParam()) * 17 + 9);
   for (int Trial = 0; Trial < 4; ++Trial) {

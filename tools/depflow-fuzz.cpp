@@ -1056,7 +1056,7 @@ unsigned runFaultSweep(const FuzzOptions &FO) {
         if (FR.S.ok())
           continue;
         const std::string Needle = "\"event\":\"task-failed\",\"run\":"
-                                   "\"module-pipeline\",\"task\":\"" +
+                                   "\"module-pipeline\",\"task\":\"func:" +
                                    FR.Name + "\"";
         const std::string KindField =
             std::string("\"kind\":\"") + taskFailureKindName(FR.FailKind) +

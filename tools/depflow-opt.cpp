@@ -10,14 +10,6 @@
 //                        pre-busy, range, taint, nulluse, ssa, ssa-dfg).
 //                        Empty pipelines and unknown pass names are usage
 //                        errors (exit 2).
-//   --constprop          legacy spelling: append constprop (likewise
-//   --constprop-cfg      for the other passes below; legacy flags apply
-//   --pre | --pre-busy   in canonical order after any --passes list)
-//   --ssa | --ssa-dfg
-//   --separate
-//   --range              report-only sparse-engine analysis passes:
-//   --taint              integer ranges, source/sink taint, and use-of-
-//   --nulluse            never-assigned detection over the DFG
 //   -j N | --jobs=N      process the module's functions on N worker
 //                        threads (default: hardware concurrency). Output
 //                        is byte-identical for every N: each function has
@@ -165,10 +157,7 @@ struct Options {
 int usage() {
   std::fprintf(stderr,
                "usage: depflow-opt [--passes=p1,p2,...] [-j N|--jobs=N] "
-               "[--constprop|--constprop-cfg]\n"
-               "                   [--predicates] [--pre|--pre-busy] "
-               "[--ssa|--ssa-dfg] [--separate]\n"
-               "                   [--range] [--taint] [--nulluse]\n"
+               "[--predicates]\n"
                "                   [--verify-each] [--strict] [--fuzz-safe] "
                "[--time-passes]\n"
                "                   [--print-stats] [--print-after-all] "
@@ -206,27 +195,7 @@ void help() {
       "  -j N, --jobs=N      process functions on N worker threads\n"
       "                      (default: hardware concurrency); output is\n"
       "                      byte-identical for every N\n"
-      "\n"
-      "Transformation passes (legacy spellings: append the named pass in\n"
-      "canonical order after any --passes list):\n"
-      "  --separate          separate computations from control statements\n"
-      "  --constprop         DFG conditional constant propagation + DCE\n"
-      "  --constprop-cfg     the same via the dense CFG algorithm\n"
-      "                      (mutually exclusive with --constprop)\n"
-      "  --pre               Morel-Renvoise partial redundancy elimination\n"
-      "  --pre-busy          busy-code-motion PRE (mutually exclusive\n"
-      "                      with --pre)\n"
-      "  --ssa               pruned SSA via Cytron placement\n"
-      "  --ssa-dfg           pruned SSA via the DFG route (mutually\n"
-      "                      exclusive with --ssa)\n"
       "  --predicates        enable the x==c refinement during constprop\n"
-      "\n"
-      "Analysis passes (report-only sparse-engine clients; they leave the\n"
-      "IR untouched and publish their counter groups):\n"
-      "  --range             integer range analysis per variable use\n"
-      "  --taint             source/sink tainted-flow analysis (read() is\n"
-      "                      the source, ret operands are the sinks)\n"
-      "  --nulluse           use-of-never-assigned-value detection\n"
       "\n"
       "Checking:\n"
       "  --verify-each       run the full invariant checkers after every\n"
@@ -269,7 +238,8 @@ void help() {
       "  --regions           print cycle-equivalence classes and the PST\n"
       "\n"
       "Slicing (interprocedural, over the system dependence graph; the\n"
-      "module must be phi-free — slice before --ssa; see docs/SDG.md):\n"
+      "module must be phi-free, so slice before the ssa passes; see\n"
+      "docs/SDG.md):\n"
       "  --slice func:line   print the executable backward slice for the\n"
       "                      criterion: every instruction the value at\n"
       "                      func:line transitively depends on, as a\n"
@@ -314,13 +284,8 @@ void help() {
       "(--keep-going with at least one failed function).\n");
 }
 
-/// Returns 0 to continue, or the exit code to stop with. Legacy
-/// single-pass flags append to the pipeline in canonical order, after any
-/// --passes list.
+/// Returns 0 to continue, or the exit code to stop with.
 int parseArgs(int Argc, char **Argv, Options &O) {
-  bool Separate = false, ConstProp = false, ConstPropCFG = false;
-  bool PRE = false, PREBusy = false, SSA = false, SSADfg = false;
-  bool Range = false, Taint = false, NullUse = false;
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A.rfind("--passes=", 0) == 0 || A == "--passes") {
@@ -362,28 +327,8 @@ int parseArgs(int Argc, char **Argv, Options &O) {
         return 2;
       }
       O.Jobs = unsigned(N);
-    } else if (A == "--constprop")
-      ConstProp = true;
-    else if (A == "--constprop-cfg")
-      ConstPropCFG = true;
-    else if (A == "--predicates")
+    } else if (A == "--predicates")
       O.Pipeline.options().Predicates = true;
-    else if (A == "--pre")
-      PRE = true;
-    else if (A == "--pre-busy")
-      PREBusy = true;
-    else if (A == "--ssa")
-      SSA = true;
-    else if (A == "--ssa-dfg")
-      SSADfg = true;
-    else if (A == "--separate")
-      Separate = true;
-    else if (A == "--range")
-      Range = true;
-    else if (A == "--taint")
-      Taint = true;
-    else if (A == "--nulluse")
-      NullUse = true;
     else if (A == "--verify-each")
       O.VerifyEach = true;
     else if (A == "--strict")
@@ -547,26 +492,6 @@ int parseArgs(int Argc, char **Argv, Options &O) {
       O.File = A;
     }
   }
-  if (Separate)
-    O.Pipeline.append(PassId::Separate);
-  if (ConstProp)
-    O.Pipeline.append(PassId::ConstProp);
-  else if (ConstPropCFG)
-    O.Pipeline.append(PassId::ConstPropCFG);
-  if (PRE)
-    O.Pipeline.append(PassId::PRE);
-  else if (PREBusy)
-    O.Pipeline.append(PassId::PREBusy);
-  if (Range)
-    O.Pipeline.append(PassId::Range);
-  if (Taint)
-    O.Pipeline.append(PassId::Taint);
-  if (NullUse)
-    O.Pipeline.append(PassId::NullUse);
-  if (SSA)
-    O.Pipeline.append(PassId::SSA);
-  else if (SSADfg)
-    O.Pipeline.append(PassId::SSADfg);
   return 0;
 }
 
@@ -825,7 +750,7 @@ int main(int Argc, char **Argv) {
             if (isa<PhiInst>(I.get())) {
               std::fprintf(stderr,
                            "slice error: function '%s' contains phi "
-                           "instructions; slice before --ssa\n",
+                           "instructions; slice before the ssa passes\n",
                            F->name().c_str());
               return 1;
             }
@@ -889,7 +814,7 @@ int main(int Argc, char **Argv) {
     SR.Tool = "depflow-opt";
     SR.Pipeline = O.Pipeline.str();
     SR.Functions = M.numFunctions();
-    SR.Jobs = O.Jobs ? O.Jobs : defaultModulePipelineJobs();
+    SR.Jobs = obs::resolveJobs(O.Jobs);
     SR.IncludeSched = true;
     for (const PassInstrumentation::Record &Rec : PR.aggregatePassRecords())
       SR.Passes.push_back({Rec.Pass, Rec.Seconds, Rec.AnalysisHits,
